@@ -1,7 +1,7 @@
 //! Event routing, query registration and subscriptions.
 //!
-//! The engine is the piece ERMS talks to: register queries (built in
-//! code or compiled from EPL text), push every audit event at it, and
+//! The engine is the piece ERMS talks to: register queries (built as
+//! [`QuerySpec`] values), push every audit event at it, and
 //! either poll grouped rows or subscribe a callback that fires whenever
 //! a query's HAVING clause admits a row for the arriving event's group.
 

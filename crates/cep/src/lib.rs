@@ -9,9 +9,6 @@
 //!   window** (`win:time(t_w)`) and the **length window** (`win:length(N)`),
 //! * [`query`] — continuous queries: filter → window → group-by →
 //!   aggregate → having, evaluated incrementally per arriving event,
-//! * [`epl`] — a small SQL-ish continuous-query language (the paper notes
-//!   CEP systems "use an SQL-standard-based continuous query language"),
-//!   compiled to [`query::QuerySpec`],
 //! * [`engine`] — registration, event routing and subscriptions,
 //! * [`audit`] — the HDFS audit-log parser (the paper's hand-written
 //!   "log parser" that turns raw log lines into CEP events).
@@ -22,14 +19,15 @@
 //! simulated cluster generates.
 //!
 //! ```
-//! use cep::{CepEngine, epl};
-//! use simcore::SimTime;
+//! use cep::{CepEngine, Predicate, QuerySpec, Value};
+//! use simcore::{SimDuration, SimTime};
 //!
 //! let mut engine = CepEngine::new();
-//! let per_file = engine.register(
-//!     epl::parse("select count(*) from audit(cmd='open').win:time(60) group by src")
-//!         .unwrap(),
-//! );
+//! // opens per file over a 60 s sliding window
+//! let per_file = engine.register(QuerySpec {
+//!     predicates: vec![Predicate::Eq("cmd".into(), Value::str("open"))],
+//!     ..QuerySpec::count_per_group("audit", "src", SimDuration::from_secs(60))
+//! });
 //! // the paper's pipeline: raw HDFS audit text → parser → CEP
 //! let line = "12.5 FSNamesystem.audit: allowed=true ugi=alice \
 //!             ip=/10.0.0.7 cmd=open src=/data/f dst=null perm=null";
@@ -40,7 +38,6 @@
 
 pub mod audit;
 pub mod engine;
-pub mod epl;
 pub mod event;
 pub mod fnv;
 pub mod pattern;

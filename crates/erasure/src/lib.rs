@@ -10,14 +10,9 @@
 //! * [`rs`] — a systematic Reed–Solomon coder `RS(k, m)` built from an
 //!   extended-Vandermonde generator (any `k` of the `k+m` shards recover
 //!   the data),
-//! * [`xor`] — a RAID-5-style single-parity code used as the ablation
-//!   baseline, plus Khan-style minimal-read recovery planning,
 //! * [`recovery`] — erasure patterns, recovery plans and degraded reads,
 //! * [`striping`] — mapping HDFS block groups onto code stripes and
 //!   computing the storage overhead ERMS reports in Figure 5.
-//!
-//! Encoding parallelises across shards with Rayon when inputs are large;
-//! everything stays deterministic.
 //!
 //! ```
 //! use erasure::ReedSolomon;
@@ -40,9 +35,7 @@ pub mod matrix;
 pub mod recovery;
 pub mod rs;
 pub mod striping;
-pub mod xor;
 
 pub use recovery::{DecodeError, ErasurePattern};
 pub use rs::ReedSolomon;
 pub use striping::{StripeLayout, StripePlan};
-pub use xor::XorCode;

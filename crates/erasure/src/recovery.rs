@@ -3,10 +3,8 @@
 //! Besides decoding, ERMS needs to *plan* recoveries: when a stripe
 //! degrades, the Condor substrate schedules a decode task whose I/O cost
 //! depends on how many surviving shards must be read. For Reed–Solomon
-//! any `k` survivors do; for XOR-based codes Khan et al. (FAST'12, the
-//! paper's reference \[10\]) showed reading a well-chosen subset minimises
-//! recovery I/O — [`crate::xor`] implements that planner and this module
-//! carries the shared vocabulary.
+//! any `k` survivors do, and [`rs_recovery_plan`] picks them. This module
+//! carries that shared vocabulary.
 
 use serde::{Deserialize, Serialize};
 

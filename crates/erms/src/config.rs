@@ -44,12 +44,6 @@ pub enum ConfigError {
     /// The scrubber is enabled with a zero per-tick block budget, so it
     /// would never scan anything.
     ZeroScrubBudget,
-    /// The control loop needs at least one shard to partition files
-    /// into.
-    ZeroShards,
-    /// Telemetry batching needs a positive flush threshold (1 =
-    /// unbatched, emit straight through).
-    ZeroTelemetryBatch,
     /// A configured standby node id does not exist in the cluster.
     UnknownStandbyNode { node: u32, datanodes: u32 },
     /// A configured standby node already holds block replicas, so
@@ -82,10 +76,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroScrubBudget => {
                 write!(f, "scrub_blocks_per_tick must be positive when scrubbing")
-            }
-            ConfigError::ZeroShards => write!(f, "shards must be positive"),
-            ConfigError::ZeroTelemetryBatch => {
-                write!(f, "telemetry_batch must be positive (1 = unbatched)")
             }
             ConfigError::UnknownStandbyNode { node, datanodes } => {
                 write!(
@@ -161,22 +151,11 @@ pub struct ErmsConfig {
     /// this knob exists for A/B verification and benchmarking, not
     /// correctness.
     pub full_rescan: bool,
-    /// Deterministic shards the judge pass is partitioned into: files
-    /// split by `FileId % shards`, classified shard by shard, verdicts
-    /// merged back in `FileId` order. Any shard count produces
-    /// byte-identical traces and actions to `shards = 1` (the default);
-    /// the knob bounds per-pass working-set size at scale.
-    pub shards: usize,
-    /// Judge-pass telemetry events are buffered and flushed to the sink
-    /// in batches of this size (1 = unbatched, emit per event). Event
-    /// order, and therefore the trace bytes, are unchanged — batching
-    /// only amortizes sink touches.
-    pub telemetry_batch: usize,
     /// Which judge backend classifies files: the paper's threshold
     /// rules (default), or one of the learned judges from the `policy`
-    /// crate. The audit→CEP pipeline, sharded judge pass and
-    /// `FileId`-ordered merge are identical for every backend; only the
-    /// per-file decision differs.
+    /// crate. The audit→CEP pipeline and the `FileId`-ordered judge
+    /// pass are identical for every backend; only the per-file decision
+    /// differs.
     pub judge_backend: JudgeBackend,
     /// Seed for learned-backend exploration streams (ignored by the
     /// rules backend). Fixed default so unseeded runs stay
@@ -206,8 +185,6 @@ impl ErmsConfig {
             enable_scrubber: false,
             scrub_blocks_per_tick: 16,
             full_rescan: false,
-            shards: 1,
-            telemetry_batch: 1,
             judge_backend: JudgeBackend::Rules,
             judge_seed: DEFAULT_JUDGE_SEED,
         }
@@ -246,12 +223,6 @@ impl ErmsConfig {
         }
         if self.enable_scrubber && self.scrub_blocks_per_tick == 0 {
             return Err(ConfigError::ZeroScrubBudget);
-        }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if self.telemetry_batch == 0 {
-            return Err(ConfigError::ZeroTelemetryBatch);
         }
         Ok(())
     }
@@ -381,20 +352,6 @@ impl ErmsConfigBuilder {
         self
     }
 
-    /// Partition the judge pass into `n` deterministic shards (see
-    /// [`ErmsConfig::shards`]). `build` rejects 0.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.cfg.shards = n;
-        self
-    }
-
-    /// Flush judge-pass telemetry in batches of `n` events (see
-    /// [`ErmsConfig::telemetry_batch`]). `build` rejects 0.
-    pub fn telemetry_batch(mut self, n: usize) -> Self {
-        self.cfg.telemetry_batch = n;
-        self
-    }
-
     /// Select the judge backend (see [`ErmsConfig::judge_backend`]).
     pub fn judge_backend(mut self, backend: JudgeBackend) -> Self {
         self.cfg.judge_backend = backend;
@@ -491,30 +448,6 @@ mod tests {
             .scrub_blocks_per_tick(0)
             .build()
             .is_ok());
-    }
-
-    #[test]
-    fn shards_and_telemetry_batch_default_off_and_validate() {
-        let cfg = ErmsConfig::builder().build().unwrap();
-        assert_eq!(cfg.shards, 1, "default is unsharded");
-        assert_eq!(cfg.telemetry_batch, 1, "default is unbatched");
-
-        let cfg = ErmsConfig::builder()
-            .shards(4)
-            .telemetry_batch(256)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.shards, 4);
-        assert_eq!(cfg.telemetry_batch, 256);
-
-        let err = ErmsConfig::builder().shards(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroShards);
-        let err = ErmsConfig::builder()
-            .telemetry_batch(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroTelemetryBatch);
-        assert!(err.to_string().contains("telemetry_batch"));
     }
 
     #[test]

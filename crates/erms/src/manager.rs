@@ -164,6 +164,11 @@ pub struct ErmsManager {
     /// went stable: once `now - last_access` exceeds the judge's
     /// `cold_age` they must be revisited so Formula (6) can fire.
     cold_due: BTreeMap<String, SimTime>,
+    /// A lower bound on every `last_access` in `cold_due`, so the tick
+    /// skips scanning it until that much cold age has passed. Inserts
+    /// lower it, each scan resets it to the exact minimum, and a fresh
+    /// or restored manager starts at zero, the weakest bound.
+    cold_due_floor: SimTime,
     /// Whether the first full classification pass has happened. The
     /// manager may be built over a cluster that already has files, so
     /// tick 1 always rescans everything.
@@ -250,6 +255,7 @@ impl ErmsManager {
             reconstructing: BTreeSet::new(),
             active: BTreeSet::new(),
             cold_due: BTreeMap::new(),
+            cold_due_floor: SimTime::ZERO,
             primed: false,
             tick_count: 0,
             telemetry: TelemetrySink::disabled(),
@@ -377,41 +383,28 @@ impl ErmsManager {
                 }
             }
             let cold_age = self.judge.thresholds().cold_age;
-            let due: Vec<String> = self
-                .cold_due
-                .iter()
-                .filter(|&(_, &last)| now.since(last) > cold_age)
-                .map(|(p, _)| p.clone())
-                .collect();
-            for path in due {
-                self.cold_due.remove(&path);
-                if let Some(f) = ns.resolve(&path) {
-                    visit.insert(f);
+            if now.since(self.cold_due_floor) > cold_age {
+                let mut due = Vec::new();
+                let mut floor = SimTime::MAX;
+                for (path, &last) in &self.cold_due {
+                    if now.since(last) > cold_age {
+                        due.push(path.clone());
+                    } else {
+                        floor = floor.min(last);
+                    }
+                }
+                self.cold_due_floor = floor;
+                for path in due {
+                    self.cold_due.remove(&path);
+                    if let Some(f) = ns.resolve(&path) {
+                        visit.insert(f);
+                    }
                 }
             }
             self.snapshot_subset(cluster, &visit)
         };
         report.files_judged = snapshots.len();
 
-        // 4a. classify, shard by shard. `classify` only reads CEP state
-        // (window decay at a fixed `now` is idempotent), so visiting
-        // files in shard order instead of namespace order changes no
-        // verdict. What it *does* change is telemetry order — the judge
-        // emits `WindowEmit` events as it evaluates queries — so while
-        // classifying we point the judge at a private capture sink and
-        // stash each file's events next to its verdict. The act phase
-        // below replays them in FileId order, which makes the trace
-        // byte-identical for every shard count (and to the pre-sharded
-        // loop).
-        let shards = self.cfg.shards.max(1) as u64;
-        let capture = if self.telemetry.enabled() {
-            Some(TelemetrySink::recording())
-        } else {
-            None
-        };
-        if let Some(cap) = &capture {
-            self.judge.set_telemetry(cap.clone());
-        }
         // Reward meters for learning backends — the storage/energy
         // accounting the system already keeps, sampled once per tick.
         // Skipped entirely for backends that don't want a reward (the
@@ -438,216 +431,164 @@ impl ErmsManager {
             RewardMeters::default()
         };
         self.policy.begin_pass(now, &meters);
-        let mut judged: Vec<Option<(Judgment, Vec<simcore::telemetry::TracedEvent>)>> =
-            snapshots.iter().map(|_| None).collect();
+
+        // 4a. classify each file and act on its verdict right away, in
+        // FileId order (the snapshot walk order). `classify` only reads
+        // CEP state, and acting only touches Condor's queue and the
+        // manager's per-path bookkeeping, so the two can interleave. The
+        // judge's `WindowEmit` events land in the sink just before the
+        // file's `Verdict`.
         {
             prof_scope!("judge");
-            // Split borrow: the policy decides, probing the judge's CEP
-            // windows. Backends are visit-order independent by contract
-            // (frozen tables, per-(pass, file) RNG, per-file beliefs),
-            // so shard order changes no verdict — the same invariant the
-            // rules satisfied by only reading idempotent window state.
-            let (judge, policy) = (&mut self.judge, &mut self.policy);
-            for shard in 0..shards {
-                prof_scope!(&format!("shard{shard}"));
-                for (i, snap) in snapshots.iter().enumerate() {
-                    if snap.id.0 % shards != shard {
-                        continue;
+            for snap in &snapshots {
+                let verdict =
+                    self.policy
+                        .classify(now, snap, fresh.contains(&snap.path), &mut self.judge);
+                let class = if verdict.class == DataClass::Normal && promoted.contains(&snap.path) {
+                    DataClass::Hot
+                } else {
+                    verdict.class
+                };
+                trace!(
+                    self.telemetry,
+                    now,
+                    Tel::Verdict {
+                        path: snap.path.clone(),
+                        verdict: class_name(class).into(),
+                        file_sessions: verdict.n_d,
+                        max_block_sessions: verdict.n_b_max,
+                        replicas: snap.replication as u32,
                     }
-                    let verdict =
-                        policy.classify(now, snap, fresh.contains(&snap.path), &mut *judge);
-                    let emitted = match &capture {
-                        Some(cap) => cap.drain_events(),
-                        None => Vec::new(),
-                    };
-                    judged[i] = Some((verdict, emitted));
+                );
+                if class != DataClass::Cooled {
+                    self.cooled_streak.remove(&snap.path);
                 }
-            }
-        }
-        self.policy.end_pass();
-        if capture.is_some() {
-            self.judge.set_telemetry(self.telemetry.clone());
-        }
-
-        // 4b. act on the verdicts in FileId order (the snapshot walk
-        // order), replaying each file's captured window emissions first
-        // so the trace reads exactly as if the file had been classified
-        // in place. Event emission is batched through `pending` when
-        // `telemetry_batch > 1`; the buffer is flushed before anything
-        // that writes to the sink directly (Condor's submit trace), so
-        // batching never reorders the trace — it only amortises the
-        // per-event sink borrow.
-        let batch = self.cfg.telemetry_batch.max(1);
-        let mut pending: Vec<(SimTime, Tel)> = Vec::new();
-        // Explicit guard (not `prof_scope!`): the merge phase must end
-        // before dispatch below, and a block around the act loop would
-        // re-indent half the function.
-        let merge_scope = if simcore::profiler::is_enabled() {
-            Some(simcore::profiler::enter("merge"))
-        } else {
-            None
-        };
-        for (snap, slot) in snapshots.iter().zip(judged) {
-            let (verdict, emitted) = slot.expect("every shard slot judged");
-            for ev in emitted {
-                buf_emit(&self.telemetry, &mut pending, batch, ev.time, ev.event);
-            }
-            let class = if verdict.class == DataClass::Normal && promoted.contains(&snap.path) {
-                DataClass::Hot
-            } else {
-                verdict.class
-            };
-            buf_emit(
-                &self.telemetry,
-                &mut pending,
-                batch,
-                now,
-                Tel::Verdict {
-                    path: snap.path.clone(),
-                    verdict: class_name(class).into(),
-                    file_sessions: verdict.n_d,
-                    max_block_sessions: verdict.n_b_max,
-                    replicas: snap.replication as u32,
-                },
-            );
-            if class != DataClass::Cooled {
-                self.cooled_streak.remove(&snap.path);
-            }
-            match class {
-                DataClass::Hot => {
-                    report.hot += 1;
-                    // the pre-boost bump for predicted files must not
-                    // escape the cap Formula (1)'s target respects
-                    let target = optimal_replication(
-                        verdict.n_d,
-                        self.cfg.thresholds.tau_hot,
-                        default_r,
-                        self.cfg.max_replication,
-                    )
-                    .max(if promoted.contains(&snap.path) {
-                        snap.replication + 1
-                    } else {
-                        0
-                    })
-                    .min(self.cfg.max_replication.max(default_r));
-                    if snap.encoded {
-                        // `DecodeCold` is traced when the rewrite lands
-                        // in `exec_decode`, not at submission.
-                        buf_flush(&self.telemetry, &mut pending);
-                        self.submit(
-                            now,
-                            ErmsTask::Decode {
-                                path: snap.path.clone(),
-                                target: target.max(default_r),
-                            },
-                            Priority::Immediate,
-                            &mut report,
-                        );
-                    } else if target > snap.replication {
-                        buf_flush(&self.telemetry, &mut pending);
-                        if self.submit(
-                            now,
-                            ErmsTask::Increase {
-                                path: snap.path.clone(),
-                                target,
-                            },
-                            Priority::Immediate,
-                            &mut report,
-                        ) {
-                            buf_emit(
-                                &self.telemetry,
-                                &mut pending,
-                                batch,
+                match class {
+                    DataClass::Hot => {
+                        report.hot += 1;
+                        // the pre-boost bump for predicted files must not
+                        // escape the cap Formula (1)'s target respects
+                        let target = optimal_replication(
+                            verdict.n_d,
+                            self.cfg.thresholds.tau_hot,
+                            default_r,
+                            self.cfg.max_replication,
+                        )
+                        .max(if promoted.contains(&snap.path) {
+                            snap.replication + 1
+                        } else {
+                            0
+                        })
+                        .min(self.cfg.max_replication.max(default_r));
+                        if snap.encoded {
+                            // `DecodeCold` is traced when the rewrite lands
+                            // in `exec_decode`, not at submission.
+                            self.submit(
+                                now,
+                                ErmsTask::Decode {
+                                    path: snap.path.clone(),
+                                    target: target.max(default_r),
+                                },
+                                Priority::Immediate,
+                                &mut report,
+                            );
+                        } else if target > snap.replication
+                            && self.submit(
+                                now,
+                                ErmsTask::Increase {
+                                    path: snap.path.clone(),
+                                    target,
+                                },
+                                Priority::Immediate,
+                                &mut report,
+                            )
+                        {
+                            trace!(
+                                self.telemetry,
                                 now,
                                 Tel::ReplicationBoost {
                                     path: snap.path.clone(),
                                     from: snap.replication as u32,
                                     to: target as u32,
                                     sessions: verdict.n_d,
-                                },
+                                }
                             );
                         }
                     }
-                }
-                DataClass::Cooled => {
-                    report.cooled += 1;
-                    let streak = self.cooled_streak.entry(snap.path.clone()).or_insert(0);
-                    *streak += 1;
-                    let patient = *streak >= self.cfg.cooled_patience;
-                    if patient && snap.replication > default_r {
-                        buf_flush(&self.telemetry, &mut pending);
-                        if self.submit(
-                            now,
-                            ErmsTask::Decrease {
-                                path: snap.path.clone(),
-                                target: default_r,
-                            },
-                            Priority::WhenIdle,
-                            &mut report,
-                        ) {
-                            buf_emit(
-                                &self.telemetry,
-                                &mut pending,
-                                batch,
+                    DataClass::Cooled => {
+                        report.cooled += 1;
+                        let streak = self.cooled_streak.entry(snap.path.clone()).or_insert(0);
+                        *streak += 1;
+                        let patient = *streak >= self.cfg.cooled_patience;
+                        if patient
+                            && snap.replication > default_r
+                            && self.submit(
+                                now,
+                                ErmsTask::Decrease {
+                                    path: snap.path.clone(),
+                                    target: default_r,
+                                },
+                                Priority::WhenIdle,
+                                &mut report,
+                            )
+                        {
+                            trace!(
+                                self.telemetry,
                                 now,
                                 Tel::ReplicationShed {
                                     path: snap.path.clone(),
                                     from: snap.replication as u32,
                                     to: default_r as u32,
-                                },
+                                }
                             );
                         }
                     }
-                }
-                DataClass::Cold => {
-                    report.cold += 1;
-                    if self.cfg.enable_encode && !snap.encoded {
-                        // `EncodeCold` is traced when the stripes land
-                        // in `exec_encode`, not at submission.
-                        buf_flush(&self.telemetry, &mut pending);
-                        self.submit(
-                            now,
-                            ErmsTask::Encode {
-                                path: snap.path.clone(),
-                            },
-                            Priority::WhenIdle,
-                            &mut report,
-                        );
+                    DataClass::Cold => {
+                        report.cold += 1;
+                        if self.cfg.enable_encode && !snap.encoded {
+                            // `EncodeCold` is traced when the stripes land
+                            // in `exec_encode`, not at submission.
+                            self.submit(
+                                now,
+                                ErmsTask::Encode {
+                                    path: snap.path.clone(),
+                                },
+                                Priority::WhenIdle,
+                                &mut report,
+                            );
+                        }
                     }
-                }
-                DataClass::Normal => {
-                    if fresh.contains(&snap.path) && !snap.encoded && snap.replication == default_r
-                    {
-                        buf_flush(&self.telemetry, &mut pending);
-                        if self.submit(
-                            now,
-                            ErmsTask::Increase {
-                                path: snap.path.clone(),
-                                target: default_r + 1,
-                            },
-                            Priority::Immediate,
-                            &mut report,
-                        ) {
-                            buf_emit(
-                                &self.telemetry,
-                                &mut pending,
-                                batch,
+                    DataClass::Normal => {
+                        if fresh.contains(&snap.path)
+                            && !snap.encoded
+                            && snap.replication == default_r
+                            && self.submit(
+                                now,
+                                ErmsTask::Increase {
+                                    path: snap.path.clone(),
+                                    target: default_r + 1,
+                                },
+                                Priority::Immediate,
+                                &mut report,
+                            )
+                        {
+                            trace!(
+                                self.telemetry,
                                 now,
                                 Tel::ReplicationBoost {
                                     path: snap.path.clone(),
                                     from: snap.replication as u32,
                                     to: (default_r + 1) as u32,
                                     sessions: verdict.n_d,
-                                },
+                                }
                             );
                         }
                     }
                 }
+                self.note_visit(snap, class, &verdict);
             }
-            self.note_visit(snap, class, &verdict);
         }
-        buf_flush(&self.telemetry, &mut pending);
-        drop(merge_scope);
+        self.policy.end_pass();
 
         // 5. dispatch + execute Condor tasks
         let idle = cluster.is_idle();
@@ -758,6 +699,7 @@ impl ErmsManager {
             // τ_m > 0 (validated), so zero demand always satisfies
             // Formula (6)'s rate clause once the file is old enough
             self.cold_due.insert(snap.path.clone(), snap.last_access);
+            self.cold_due_floor = self.cold_due_floor.min(snap.last_access);
         }
     }
 
@@ -1473,40 +1415,6 @@ fn class_name(class: DataClass) -> &'static str {
     }
 }
 
-/// Emit one trace event through the tick's batch buffer. With
-/// `telemetry_batch == 1` this is a plain [`TelemetrySink::emit`]; with a
-/// larger batch the event queues in `pending` and the sink is borrowed
-/// once per `batch` events via [`TelemetrySink::emit_many`]. Events keep
-/// their push order either way, so batching never changes the trace —
-/// provided [`buf_flush`] runs before anything that writes to the sink
-/// directly (Condor's submit trace, the cluster's copy traces).
-fn buf_emit(
-    sink: &TelemetrySink,
-    pending: &mut Vec<(SimTime, Tel)>,
-    batch: usize,
-    now: SimTime,
-    event: Tel,
-) {
-    if !sink.enabled() {
-        return;
-    }
-    if batch <= 1 {
-        sink.emit(now, event);
-    } else {
-        pending.push((now, event));
-        if pending.len() >= batch {
-            sink.emit_many(pending.drain(..));
-        }
-    }
-}
-
-/// Drain the batch buffer into the sink, preserving order.
-fn buf_flush(sink: &TelemetrySink, pending: &mut Vec<(SimTime, Tel)>) {
-    if !pending.is_empty() {
-        sink.emit_many(pending.drain(..));
-    }
-}
-
 /// Checkpoint codec for [`ErmsTask`] — the payload handed to Condor's
 /// generic `save_state_with`/`load_state_with`.
 mod ck {
@@ -1738,6 +1646,7 @@ impl checkpoint::Checkpointable for ErmsManager {
                 ))
             })
             .collect::<Result<_, CheckpointError>>()?;
+        self.cold_due_floor = SimTime::ZERO;
         self.primed = c::get_bool(state, "primed")?;
         self.tick_count = c::get_u64(state, "tick_count")?;
         self.total_completed = c::get_u64(state, "total_completed")?;

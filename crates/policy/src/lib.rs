@@ -3,9 +3,9 @@
 //! The paper's Data Judge is a fixed threshold machine (Formulas
 //! (1)–(6)). This crate extracts the *decision* out of the CEP feature
 //! plumbing into a [`JudgePolicy`] trait so alternative judges — learned
-//! ones — can be dropped into the manager's sharded judge pass without
-//! touching the audit→CEP pipeline, the FileId-ordered merge, or the
-//! checkpoint discipline:
+//! ones — can be dropped into the manager's judge pass without touching
+//! the audit→CEP pipeline, the FileId-ordered visit, or the checkpoint
+//! discipline:
 //!
 //! * the rule-based judge (in `erms`) implements the trait by running
 //!   Formulas (1)–(6) against the windowed counts it reads through a
@@ -25,11 +25,11 @@
 //! a snapshot section, so the byte-identical resume-equivalence guard
 //! holds for learned judges exactly as it does for the rules. Learned
 //! backends must also be *visit-order independent* within a judge pass
-//! (the manager shards the pass by `FileId % shards`): decisions read a
-//! table frozen at the start of the pass, exploration randomness is
-//! derived per `(pass, file)` rather than drawn from a sequential
-//! stream, and updates are batched and applied in `FileId` order at
-//! [`JudgePolicy::end_pass`].
+//! (no decision may depend on which files were classified before it in
+//! the same pass): decisions read a table frozen at the start of the
+//! pass, exploration randomness is derived per `(pass, file)` rather
+//! than drawn from a sequential stream, and updates are batched and
+//! applied in `FileId` order at [`JudgePolicy::end_pass`].
 
 pub mod features;
 pub mod hmm;
@@ -152,9 +152,8 @@ impl JudgeRule {
 /// What the judge needs to know about a file to classify it.
 #[derive(Debug, Clone)]
 pub struct FileSnapshot {
-    /// Dense namespace id — the key the sharded control loop partitions
-    /// and merges by (`id % shards`), and the sort key that keeps the
-    /// judge pass in namespace-walk order.
+    /// Dense namespace id — the sort key that keeps the judge pass in
+    /// namespace-walk order.
     pub id: hdfs_sim::FileId,
     pub path: String,
     /// Current replication factor `r` of the file's data blocks.
@@ -217,8 +216,7 @@ pub struct RewardMeters {
 /// A judge backend the manager can drive through dyn dispatch.
 ///
 /// Implementations must be deterministic per seed and must make their
-/// decisions independent of visit order *within* a judge pass (the
-/// manager classifies shard by shard but merges in `FileId` order; see
+/// decisions independent of visit order *within* a judge pass (see
 /// the crate docs). All learner state is part of
 /// [`save_state`](checkpoint::Checkpointable::save_state) so resumes
 /// are byte-identical.
@@ -252,8 +250,8 @@ pub trait JudgePolicy: checkpoint::Checkpointable {
 
     /// End of a judge pass, after the last `classify` of the tick.
     /// Learned backends apply their batched table updates here, in
-    /// `FileId` order, so the table evolution is shard-count
-    /// independent.
+    /// `FileId` order, so the table evolution is independent of visit
+    /// order.
     fn end_pass(&mut self) {}
 
     /// Drop per-path learner state for a deleted file.

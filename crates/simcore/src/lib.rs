@@ -10,8 +10,7 @@
 //!   [`arena::Handle`]) backing the columnar, dense-id state tables of
 //!   the simulators; stale handles are detected, never silently re-read,
 //! * [`queue`] — a deterministic, cancellable event queue
-//!   ([`EventQueue`]) plus a closure-based orchestration engine
-//!   ([`engine::Engine`]),
+//!   ([`EventQueue`]),
 //! * [`rng`] — seeded, reproducible random sources and the heavy-tailed
 //!   distributions the workloads are built from,
 //! * [`stats`] — online statistics, histograms, CDF and time-series
@@ -46,7 +45,6 @@
 //! ```
 
 pub mod arena;
-pub mod engine;
 pub mod profiler;
 pub mod queue;
 pub mod rng;
@@ -57,7 +55,6 @@ pub mod time;
 pub mod units;
 
 pub use arena::{Arena, Handle};
-pub use engine::Engine;
 pub use queue::{EventId, EventQueue};
 pub use rng::DetRng;
 pub use spans::{SpanCollector, SpanKind, SpanReport};

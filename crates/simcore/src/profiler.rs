@@ -7,7 +7,7 @@
 //! frame stack: entering a scope pushes a frame, dropping the guard pops
 //! it and charges the elapsed wall-ns (plus an optional
 //! allocation-count delta) to the node addressed by the stack of scope
-//! names above it. The result is a tree — `tick` → `judge` → `shard0` —
+//! names above it. The result is a tree — `tick` → `judge` —
 //! mirroring the phase structure of the code.
 //!
 //! Determinism discipline (same rules as [`trace!`](crate::trace)):
@@ -106,9 +106,16 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Drop all recorded frames and the live stack (guards from before the
-/// reset become inert). Enabled state is unchanged.
+/// reset become inert). Enabled state and the allocation probe are
+/// unchanged.
 pub fn reset() {
-    PROF.with(|p| *p.borrow_mut() = ProfilerState::new());
+    PROF.with(|p| {
+        let mut prof = p.borrow_mut();
+        *prof = ProfilerState {
+            alloc_probe: prof.alloc_probe,
+            ..ProfilerState::new()
+        };
+    });
 }
 
 /// Install (or clear) the allocation-count probe used for the `alloc`
@@ -212,7 +219,7 @@ pub struct ProfileNode {
 
 impl ProfileNode {
     /// Look up a descendant by `/`-joined path of scope names
-    /// (`"tick/judge/shard0"`), starting below this node.
+    /// (`"tick/judge"`), starting below this node.
     pub fn find(&self, path: &str) -> Option<&ProfileNode> {
         let mut cur = self;
         for part in path.split('/') {
@@ -352,7 +359,7 @@ fn fmt_ns(ns: u64) -> String {
 /// Mirrors the [`trace!`](crate::trace) discipline: on a disabled
 /// profiler this is a single thread-local branch and the name
 /// expression is **not** evaluated, so dynamic names
-/// (`&format!("shard{i}")`) cost nothing unless profiling is on.
+/// (`&format!("phase{i}")`) cost nothing unless profiling is on.
 ///
 /// ```
 /// use simcore::{profiler, prof_scope};
@@ -360,10 +367,10 @@ fn fmt_ns(ns: u64) -> String {
 /// profiler::reset();
 /// profiler::set_enabled(true);
 /// for i in 0..2 {
-///     prof_scope!(&format!("shard{i}"));
+///     prof_scope!(&format!("phase{i}"));
 /// }
 /// profiler::set_enabled(false);
-/// assert_eq!(profiler::snapshot().find("shard1").unwrap().calls, 1);
+/// assert_eq!(profiler::snapshot().find("phase1").unwrap().calls, 1);
 /// ```
 #[macro_export]
 macro_rules! prof_scope {
@@ -433,8 +440,8 @@ mod tests {
             set_enabled(true);
             for _ in 0..3 {
                 prof_scope!("tick");
-                for shard in 0..2 {
-                    prof_scope!(&format!("shard{shard}"));
+                for phase in 0..2 {
+                    prof_scope!(&format!("phase{phase}"));
                 }
             }
             set_enabled(false);
@@ -452,6 +459,27 @@ mod tests {
         for c in &mut node.children {
             strip_weights(c);
         }
+    }
+
+    #[test]
+    fn reset_keeps_the_alloc_probe() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // stands in for a counting allocator's monotone total
+        static ALLOCS: AtomicU64 = AtomicU64::new(0);
+        fn probe() -> u64 {
+            ALLOCS.load(Ordering::Relaxed)
+        }
+        set_alloc_probe(Some(probe));
+        reset();
+        set_enabled(true);
+        {
+            prof_scope!("work");
+            ALLOCS.fetch_add(3, Ordering::Relaxed);
+        }
+        set_enabled(false);
+        set_alloc_probe(None);
+        let alloc = snapshot().find("work").expect("work node").alloc;
+        assert!(alloc > 0, "reset dropped the alloc probe");
     }
 
     #[test]

@@ -745,28 +745,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Record a batch of events in one pass: the sink's interior cell
-    /// is borrowed **once** for the whole batch instead of once per
-    /// event, and sequence numbers are assigned in iteration order —
-    /// the resulting trace is byte-identical to emitting the same
-    /// events one by one. This is the once-per-tick path the control
-    /// loop uses when `telemetry_batch > 1`.
-    pub fn emit_many(&self, events: impl IntoIterator<Item = (SimTime, Event)>) {
-        if let Some(inner) = &self.0 {
-            let mut inner = inner.borrow_mut();
-            let inner = &mut *inner;
-            for (now, event) in events {
-                let seq = inner.seq;
-                inner.seq += 1;
-                inner.events.push(TracedEvent {
-                    time: now,
-                    seq,
-                    event,
-                });
-            }
-        }
-    }
-
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if let Some(inner) = &self.0 {
             inner.borrow_mut().metrics.counter_add(name, delta);
