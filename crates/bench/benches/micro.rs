@@ -5,8 +5,10 @@ use condor::{ClassAd, Matchmaker};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use erasure::gf256;
 use erasure::ReedSolomon;
+use hdfs_sim::audit::{AuditCmd, AuditOp, AuditRecord};
 use hdfs_sim::flow::FlowNet;
 use hdfs_sim::placement::{DefaultRackAware, NodeView, PlacementContext, PlacementPolicy};
+use hdfs_sim::topology::{ClientId, Endpoint};
 use hdfs_sim::{NodeId, RackId};
 use simcore::units::Bandwidth;
 use simcore::{SimDuration, SimTime};
@@ -61,16 +63,18 @@ fn bench_reed_solomon(c: &mut Criterion) {
 fn bench_cep(c: &mut Criterion) {
     let mut g = c.benchmark_group("cep");
     // the judge's pipeline: 4 registered queries, audit-shaped events
+    // parsed from rendered audit records
     let lines: Vec<String> = (0..1000)
         .map(|i| {
-            cep::audit::format_audit_line(
-                SimTime::from_millis(i),
-                "hadoop",
-                "/10.0.0.9",
-                "open",
-                &format!("/data/file_{}", i % 40),
-                None,
-            )
+            AuditRecord {
+                time: SimTime::from_millis(i),
+                path: format!("/data/file_{}", i % 40),
+                op: AuditOp::Namenode {
+                    cmd: AuditCmd::Open,
+                    reader: Endpoint::Client(ClientId(9)),
+                },
+            }
+            .to_string()
         })
         .collect();
     g.throughput(Throughput::Elements(lines.len() as u64));

@@ -108,23 +108,24 @@ pub struct JudgeRulesAblation {
 }
 
 pub fn judge_rules() -> JudgeRulesAblation {
-    use cep::audit::format_block_line;
     use erms::{DataClass, DataJudge, FileSnapshot};
+    use hdfs_sim::audit::{AuditOp, AuditRecord};
     use simcore::SimTime;
 
     // a 20-block file where ONE block takes a burst of direct reads
     // (an index header everyone probes): file-level N_d stays low.
     let blocks: Vec<hdfs_sim::BlockId> = (0..20).map(hdfs_sim::BlockId).collect();
-    let mut lines = Vec::new();
-    for i in 0..30u64 {
-        lines.push(format_block_line(
-            SimTime::from_secs(1 + i),
-            &blocks[0].to_string(),
-            "dn3",
-            "/skewed",
-            64 << 20,
-        ));
-    }
+    let records: Vec<AuditRecord> = (0..30u64)
+        .map(|i| AuditRecord {
+            time: SimTime::from_secs(1 + i),
+            path: "/skewed".into(),
+            op: AuditOp::BlockRead {
+                block: blocks[0],
+                node: hdfs_sim::NodeId(3),
+                bytes: 64 << 20,
+            },
+        })
+        .collect();
     let snap = FileSnapshot {
         id: hdfs_sim::FileId(0),
         path: "/skewed".into(),
@@ -141,11 +142,11 @@ pub fn judge_rules() -> JudgeRulesAblation {
     rule1_only.block_warm = f64::MAX / 8.0;
 
     let mut j_full = DataJudge::new(full_thresholds);
-    j_full.observe_lines(lines.iter().map(String::as_str));
+    j_full.observe(&records);
     let full = j_full.classify(SimTime::from_secs(31), &snap);
 
     let mut j1 = DataJudge::new(rule1_only);
-    j1.observe_lines(lines.iter().map(String::as_str));
+    j1.observe(&records);
     let r1 = j1.classify(SimTime::from_secs(31), &snap);
 
     JudgeRulesAblation {

@@ -15,6 +15,7 @@
 //! `BENCH_scale.json`.
 
 use erms::{DataJudge, ErmsConfig, ErmsManager, ErmsPlacement, Thresholds};
+use hdfs_sim::audit::{AuditCmd, AuditOp, AuditRecord};
 use hdfs_sim::topology::{ClientId, Endpoint};
 use hdfs_sim::{ClusterConfig, ClusterSim};
 use serde::Serialize;
@@ -378,7 +379,7 @@ pub fn run_mode_checkpointed(
     (mode, ck)
 }
 
-/// Throughput of the audit-line → CEP window path.
+/// Throughput of the audit-record → CEP window path.
 #[derive(Debug, Clone, Serialize)]
 pub struct CepPushStats {
     pub events: u64,
@@ -391,8 +392,8 @@ pub struct CepPushStats {
 /// set (the paper's premise — ERMS reacts to concentrated heat), the
 /// eighth walks the full `paths`-file namespace on a scrambled stride
 /// (background scans: mostly-cold keys that churn the intern pool and
-/// group maps). Deterministic, so every run times the same byte stream.
-pub fn synth_audit_lines(events: u64, paths: usize, hot_paths: usize) -> Vec<String> {
+/// group maps). Deterministic, so every run times the same stream.
+pub fn synth_audit_records(events: u64, paths: usize, hot_paths: usize) -> Vec<AuditRecord> {
     let paths = paths.max(1);
     let hot = hot_paths.clamp(1, paths);
     (0..events)
@@ -403,28 +404,28 @@ pub fn synth_audit_lines(events: u64, paths: usize, hot_paths: usize) -> Vec<Str
             } else {
                 i as usize % hot
             };
-            cep::audit::format_audit_line(
-                simcore::SimTime::from_secs(i / 50),
-                "bench",
-                "10.0.0.1",
-                "open",
-                &format!("/scale/f{idx}"),
-                None,
-            )
+            AuditRecord {
+                time: simcore::SimTime::from_secs(i / 50),
+                path: format!("/scale/f{idx}"),
+                op: AuditOp::Namenode {
+                    cmd: AuditCmd::Open,
+                    reader: Endpoint::Client(ClientId(0)),
+                },
+            }
         })
         .collect()
 }
 
 /// Push `events` synthetic audit opens (the storm-shaped stream from
-/// [`synth_audit_lines`]) through a [`DataJudge`]'s full query set and
+/// [`synth_audit_records`]) through a [`DataJudge`]'s full query set and
 /// measure the rate.
 pub fn cep_push_rate(events: u64, paths: usize, hot_paths: usize) -> CepPushStats {
     let mut thresholds = Thresholds::calibrate(4.0);
     thresholds.window = SimDuration::from_secs(600);
     let mut judge = DataJudge::new(thresholds);
-    let lines = synth_audit_lines(events, paths, hot_paths);
+    let records = synth_audit_records(events, paths, hot_paths);
     let start = Instant::now();
-    judge.observe_lines(lines.iter().map(String::as_str));
+    judge.observe(&records);
     let elapsed = start.elapsed().as_secs_f64();
     CepPushStats {
         events,
@@ -454,7 +455,7 @@ pub struct AllocStats {
 /// * `judge_allocs` — the control-loop ticks of a telemetry-off run:
 ///   snapshotting, classification, task submission and execution.
 /// * `cep_allocs` — pushing one synthetic audit storm through a bare
-///   [`DataJudge`]'s query set (`observe_lines` only).
+///   [`DataJudge`]'s query set (`observe` only).
 /// * `telemetry_allocs` — the *extra* allocations the identical tick
 ///   run costs once a recording sink is attached. The simulation is
 ///   deterministic, so the telemetry-on minus telemetry-off delta is
@@ -516,9 +517,9 @@ pub fn phase_allocs(cfg: &ScaleConfig, sample: &dyn Fn() -> u64) -> PhaseAllocs 
     let mut thresholds = Thresholds::calibrate(4.0);
     thresholds.window = cfg.window;
     let mut judge = DataJudge::new(thresholds);
-    let lines = synth_audit_lines(20_000, cfg.files, cfg.hot_files);
+    let records = synth_audit_records(20_000, cfg.files, cfg.hot_files);
     let a0 = sample();
-    judge.observe_lines(lines.iter().map(String::as_str));
+    judge.observe(&records);
     let cep_allocs = sample() - a0;
 
     let judge_allocs = tick_allocs(cfg, false, sample);

@@ -116,33 +116,14 @@ impl Event {
 
     /// [`new`](Self::new) for hot paths: takes an already-interned type
     /// name (a refcount bump, not a fresh allocation) and pre-sizes the
-    /// field vector. The audit-line parser feeds millions of events per
-    /// second through here.
+    /// field vector. The judge builds one event per audit record through
+    /// here.
     pub fn new_interned(time: SimTime, event_type: Arc<str>, field_capacity: usize) -> Self {
         Event {
             time,
             event_type,
             fields: Vec::with_capacity(field_capacity),
         }
-    }
-
-    /// Reset in place for reuse as a scratch buffer: swaps time and
-    /// type, clears the fields but keeps their allocation. A parser
-    /// loop refilling one event per line allocates nothing at steady
-    /// state.
-    pub fn reset_interned(&mut self, time: SimTime, event_type: Arc<str>) {
-        self.time = time;
-        self.event_type = event_type;
-        self.fields.clear();
-    }
-
-    /// Replace this event's fields with clones of another event's —
-    /// refcount bumps into this event's existing buffer, no fresh
-    /// string allocations. The parser's line memo replays cached parse
-    /// results through here.
-    pub fn clone_fields_from(&mut self, src: &Event) {
-        self.fields.clear();
-        self.fields.extend(src.fields.iter().cloned());
     }
 
     /// [`set`](Self::set) with an already-interned key: skips the

@@ -28,9 +28,10 @@
 //!     predicates: vec![Predicate::Eq("cmd".into(), Value::str("open"))],
 //!     ..QuerySpec::count_per_group("audit", "src", SimDuration::from_secs(60))
 //! });
-//! // the paper's pipeline: raw HDFS audit text → parser → CEP
-//! let line = "12.5 FSNamesystem.audit: allowed=true ugi=alice \
-//!             ip=/10.0.0.7 cmd=open src=/data/f dst=null perm=null";
+//! // an HDFS audit line, as the simulator's audit records render,
+//! // read back by the paper's log parser into a CEP event
+//! let line = "12.500000 FSNamesystem.audit: allowed=true ugi=hadoop \
+//!             ip=/client7 cmd=open src=/data/f dst=null perm=null";
 //! let event = cep::audit::parse_line(line).unwrap();
 //! engine.push(&event);
 //! assert_eq!(engine.value_for(per_file, SimTime::from_secs(13), "/data/f"), 1.0);

@@ -1,11 +1,17 @@
 //! The Data Judge Module.
 //!
 //! "The Data Judge Module obtains system metrics from HDFS clusters and
-//! uses CEP to distinguish current data types in real-time." Audit-log
-//! text goes in; per-file classifications come out. The module keeps
-//! three continuous queries over the sliding window `t_w`:
+//! uses CEP to distinguish current data types in real-time." Audit
+//! records go in; per-file classifications come out. [`DataJudge::observe`]
+//! is the paper's "translate the log records into events" step: it turns
+//! each typed record into the CEP event `cep::audit::parse_line` reads
+//! from the record's rendered line (restricted to the fields the queries
+//! use). The module keeps three continuous queries over the sliding
+//! window `t_w`:
 //!
-//! * accesses per file (`N_d`, from namenode `open` records),
+//! * accesses per file (`N_d`, from every namenode record on the path:
+//!   `create`, `open`, `delete` and `setReplication`, including the
+//!   `setReplication` records ERMS's own replica changes emit),
 //! * accesses per block (`N_b`, from datanode client-trace records),
 //! * accesses per datanode (Formula (4)'s left-hand side), plus a
 //!   derived per-(datanode,file) stream so an overloaded node can name
@@ -23,9 +29,12 @@ use crate::thresholds::Thresholds;
 use cep::audit::{AUDIT_EVENT, BLOCK_EVENT};
 use cep::pattern::{EventFilter, FollowedBy};
 use cep::query::Predicate;
-use cep::{CepEngine, QuerySpec, Value};
+use cep::{CepEngine, Event, QuerySpec, Value};
+use hdfs_sim::audit::{AuditOp, AuditRecord};
 use simcore::telemetry::TelemetrySink;
 use simcore::{SimDuration, SimTime};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 pub use policy::{
     CepProbe, DataClass, FileSnapshot, JudgeBackend, JudgePolicy, JudgeRule, Judgment, RewardMeters,
@@ -41,21 +50,23 @@ pub struct DataJudge {
     /// `create → open` correlation: fresh data drawing immediate reads.
     p_fresh: cep::engine::PatternId,
     thresholds: Thresholds,
-    parse_errors: usize,
-    /// Interning audit-line parser, persistent so field keys and the
-    /// recurring path/node strings are shared across the whole stream.
-    parser: cep::audit::LineParser,
-    /// Interned type name of the derived (datanode, file) events.
-    ty_node_file: std::sync::Arc<str>,
-    /// Interned key of their composite `dn|src` field.
-    key_dn_src: std::sync::Arc<str>,
-    /// Scratch for rendering `BlockId`s to their client-trace names in
-    /// the [`CepProbe`] impl; excluded from checkpoints.
-    blk_key: String,
+    /// Intern pool for event field values: each recurring path, block
+    /// and node name is one shared `Arc`, which the CEP group tables'
+    /// pointer memo relies on. Excluded from checkpoints.
+    pool: HashSet<Arc<str>, cep::fnv::FnvBuildHasher>,
+    /// Scratch for rendering block and node names, in record
+    /// translation and in the [`CepProbe`] impl; excluded from
+    /// checkpoints.
+    scratch: String,
 }
 
 /// Synthetic event type carrying the (datanode, file) composite key.
 const NODE_FILE_EVENT: &str = "block_read_by_node";
+
+/// Cap on distinct pooled values; past it new values are allocated per
+/// event instead, so a long run's churn of paths cannot grow the pool
+/// without bound.
+const INTERN_CAP: usize = 1 << 20;
 
 impl DataJudge {
     /// Build a judge, panicking on invalid thresholds. Thin wrapper
@@ -94,17 +105,8 @@ impl DataJudge {
             q_node_file,
             p_fresh,
             thresholds,
-            parse_errors: 0,
-            parser: {
-                let mut p = cep::audit::LineParser::new();
-                // Projection pushdown: the queries and pattern above read
-                // exactly these audit fields; skip materializing the rest.
-                p.project(&["blk", "cmd", "dn", "src"]);
-                p
-            },
-            ty_node_file: std::sync::Arc::from(NODE_FILE_EVENT),
-            key_dn_src: std::sync::Arc::from("dn_src"),
-            blk_key: String::new(),
+            pool: HashSet::default(),
+            scratch: String::new(),
         })
     }
 
@@ -120,46 +122,83 @@ impl DataJudge {
     pub fn thresholds_mut(&mut self) -> &mut Thresholds {
         &mut self.thresholds
     }
-    pub fn parse_errors(&self) -> usize {
-        self.parse_errors
-    }
     pub fn events_seen(&self) -> u64 {
         self.engine.events_seen()
     }
 
-    /// Feed raw audit-log lines (the paper's log-parser → CEP pipeline).
-    ///
-    /// One scratch event is refilled per line (`LineParser::parse_into`
-    /// keeps the field vector's allocation), so the drain allocates
-    /// nothing per line at steady state.
-    pub fn observe_lines<'a>(&mut self, lines: impl IntoIterator<Item = &'a str>) {
-        let mut composite = String::new();
-        let mut event =
-            cep::Event::new_interned(simcore::SimTime::ZERO, self.ty_node_file.clone(), 8);
-        for line in lines {
-            match self.parser.parse_into(line, &mut event) {
-                Ok(()) => {
-                    if event.event_type.as_ref() == BLOCK_EVENT {
-                        if let (Some(dn), Some(src)) = (
-                            event.get("dn").and_then(|v| v.as_str()),
-                            event.get("src").and_then(|v| v.as_str()),
-                        ) {
-                            composite.clear();
-                            composite.push_str(dn);
-                            composite.push('|');
-                            composite.push_str(src);
-                            let key = self.parser.intern(&composite);
-                            let mut derived =
-                                cep::Event::new_interned(event.time, self.ty_node_file.clone(), 1);
-                            derived.set_interned(self.key_dn_src.clone(), cep::Value::Str(key));
-                            self.engine.push(&derived);
-                        }
-                    }
-                    self.engine.push(&event);
-                }
-                Err(_) => self.parse_errors += 1,
+    /// Feed audit records into the CEP windows (the paper's "translate
+    /// the log records into events" step). A block read also yields a
+    /// derived per-(datanode, file) event, pushed before the block event
+    /// itself.
+    pub fn observe(&mut self, records: &[AuditRecord]) {
+        for rec in records {
+            let (derived, event) = {
+                simcore::prof_scope!("cep/parse");
+                self.events_for(rec)
+            };
+            if let Some(derived) = derived {
+                self.engine.push(&derived);
+            }
+            self.engine.push(&event);
+        }
+    }
+
+    /// Translate one record into its CEP event — the fields the queries
+    /// read (`blk`, `cmd`, `dn`, `src`), as `cep::audit::parse_line`
+    /// reads them from the rendered line — plus, for a block read, the
+    /// derived `dn|src` event. Paths are absolute, so `src` is always a
+    /// string, as the parser classifies it.
+    fn events_for(&mut self, rec: &AuditRecord) -> (Option<Event>, Event) {
+        match rec.op {
+            AuditOp::Namenode { cmd, .. } => {
+                let mut event = self.event(rec.time, AUDIT_EVENT);
+                self.field(&mut event, "cmd", cmd.as_str());
+                self.field(&mut event, "src", &rec.path);
+                (None, event)
+            }
+            AuditOp::BlockRead { block, node, .. } => {
+                let mut event = self.event(rec.time, BLOCK_EVENT);
+                self.field(&mut event, "cmd", "read_block");
+                self.field_fmt(&mut event, "blk", format_args!("{block}"));
+                self.field_fmt(&mut event, "dn", format_args!("{node}"));
+                self.field(&mut event, "src", &rec.path);
+                let mut derived = self.event(rec.time, NODE_FILE_EVENT);
+                self.field_fmt(&mut derived, "dn_src", format_args!("{node}|{}", rec.path));
+                (Some(derived), event)
             }
         }
+    }
+
+    fn event(&mut self, time: SimTime, event_type: &str) -> Event {
+        Event::new_interned(time, self.intern(event_type), 4)
+    }
+
+    fn field(&mut self, event: &mut Event, key: &str, value: &str) {
+        let key = self.intern(key);
+        let value = Value::Str(self.intern(value));
+        event.set_interned(key, value);
+    }
+
+    /// [`field`](Self::field) with the value rendered into the scratch
+    /// buffer, so a pooled name costs no allocation.
+    fn field_fmt(&mut self, event: &mut Event, key: &str, value: std::fmt::Arguments<'_>) {
+        let mut buf = std::mem::take(&mut self.scratch);
+        render(&mut buf, value);
+        self.field(event, key, &buf);
+        self.scratch = buf;
+    }
+
+    /// The pooled `Arc` for `s`, added while the pool is under
+    /// [`INTERN_CAP`].
+    fn intern(&mut self, s: &str) -> Arc<str> {
+        if let Some(hit) = self.pool.get(s) {
+            return hit.clone();
+        }
+        let fresh: Arc<str> = Arc::from(s);
+        if self.pool.len() < INTERN_CAP {
+            self.pool.insert(fresh.clone());
+        }
+        fresh
     }
 
     /// Paths whose creation was followed by reads within the window —
@@ -232,25 +271,21 @@ impl checkpoint::Checkpointable for DataJudge {
     // config: a restored judge is built by `DataJudge::new` first (which
     // re-registers the four queries and the freshness pattern in the
     // same deterministic order, yielding identical ids), then hydrated.
-    // Only the CEP engine's runtime state and the parse-error counter
-    // are dynamic.
+    // Only the CEP engine's runtime state is dynamic.
     fn save_state(&self) -> checkpoint::Value {
         checkpoint::codec::MapBuilder::new()
             .put("engine", self.engine.save_state())
-            .u64("parse_errors", self.parse_errors as u64)
             .build()
     }
 
     fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
-        use checkpoint::codec as c;
-        self.engine.load_state(c::get(state, "engine")?)?;
-        self.parse_errors = c::get_usize(state, "parse_errors")?;
-        Ok(())
+        self.engine
+            .load_state(checkpoint::codec::get(state, "engine")?)
     }
 }
 
 /// The judge reads its own CEP engine through the probe view; the
-/// scratch `blk_key` keeps per-block queries allocation-free at steady
+/// scratch buffer keeps per-block queries allocation-free at steady
 /// state. Query order (and therefore `WindowEmit` telemetry order) is
 /// exactly the order [`classify_with_rules`] asks in.
 impl CepProbe for DataJudge {
@@ -259,10 +294,8 @@ impl CepProbe for DataJudge {
     }
 
     fn block_accesses(&mut self, now: SimTime, block: hdfs_sim::BlockId) -> f64 {
-        use std::fmt::Write as _;
-        self.blk_key.clear();
-        write!(self.blk_key, "{block}").expect("writing to a String cannot fail");
-        self.engine.value_for(self.q_block, now, &self.blk_key)
+        render(&mut self.scratch, format_args!("{block}"));
+        self.engine.value_for(self.q_block, now, &self.scratch)
     }
 }
 
@@ -377,6 +410,14 @@ impl checkpoint::Checkpointable for RulesPolicy {
     }
 }
 
+/// Overwrite `buf` with the formatted `args`.
+fn render(buf: &mut String, args: std::fmt::Arguments<'_>) {
+    use std::fmt::Write as _;
+    buf.clear();
+    buf.write_fmt(args)
+        .expect("writing to a String cannot fail");
+}
+
 fn count_query(event_type: &str, field: &str, window: SimDuration) -> QuerySpec {
     QuerySpec::count_per_group(event_type, field, window)
 }
@@ -400,8 +441,10 @@ fn judgment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cep::audit::{format_audit_line, format_block_line};
+    use hdfs_sim::audit::AuditCmd;
+    use hdfs_sim::topology::{ClientId, Endpoint};
     use hdfs_sim::{BlockId, NodeId};
+    use proptest::prelude::*;
 
     fn snapshot(path: &str, r: usize, blocks: &[u64]) -> FileSnapshot {
         FileSnapshot {
@@ -415,18 +458,31 @@ mod tests {
         }
     }
 
-    fn open_line(t: u64, path: &str) -> String {
-        format_audit_line(SimTime::from_secs(t), "u", "/10.0.0.1", "open", path, None)
+    fn nn_rec(t: u64, cmd: AuditCmd, path: &str) -> AuditRecord {
+        AuditRecord {
+            time: SimTime::from_secs(t),
+            path: path.into(),
+            op: AuditOp::Namenode {
+                cmd,
+                reader: Endpoint::Client(ClientId(1)),
+            },
+        }
     }
 
-    fn block_line(t: u64, blk: u64, dn: u32, path: &str) -> String {
-        format_block_line(
-            SimTime::from_secs(t),
-            &BlockId(blk).to_string(),
-            &NodeId(dn).to_string(),
-            path,
-            64 << 20,
-        )
+    fn open_rec(t: u64, path: &str) -> AuditRecord {
+        nn_rec(t, AuditCmd::Open, path)
+    }
+
+    fn block_rec(t: u64, blk: u64, dn: u32, path: &str) -> AuditRecord {
+        AuditRecord {
+            time: SimTime::from_secs(t),
+            path: path.into(),
+            op: AuditOp::BlockRead {
+                block: BlockId(blk),
+                node: NodeId(dn),
+                bytes: 64 << 20,
+            },
+        }
     }
 
     fn judge() -> DataJudge {
@@ -438,8 +494,8 @@ mod tests {
         let mut j = judge();
         let file = snapshot("/hot", 3, &[1]);
         // 13 whole-file opens / r=3 ≈ 4.3 > τ_M=4 → hot via (1)
-        let lines: Vec<String> = (0..13).map(|i| open_line(10 + i, "/hot")).collect();
-        j.observe_lines(lines.iter().map(String::as_str));
+        let records: Vec<AuditRecord> = (0..13).map(|i| open_rec(10 + i, "/hot")).collect();
+        j.observe(&records);
         let v = j.classify(SimTime::from_secs(30), &file);
         assert_eq!(v.class, DataClass::Hot);
         assert_eq!(v.rule, JudgeRule::FilePressure);
@@ -451,11 +507,11 @@ mod tests {
         let mut j = judge();
         let file = snapshot("/f", 1, &[7, 8]);
         // 2 opens (N_d/r = 2, not hot by (1)); block 7 bursts: 7 reads > M_M=6
-        let mut lines = vec![open_line(1, "/f"), open_line(2, "/f")];
+        let mut records = vec![open_rec(1, "/f"), open_rec(2, "/f")];
         for i in 0..7 {
-            lines.push(block_line(3 + i, 7, 0, "/f"));
+            records.push(block_rec(3 + i, 7, 0, "/f"));
         }
-        j.observe_lines(lines.iter().map(String::as_str));
+        j.observe(&records);
         let v = j.classify(SimTime::from_secs(20), &file);
         assert_eq!(v.class, DataClass::Hot);
         assert_eq!(v.rule, JudgeRule::BlockBurst);
@@ -467,13 +523,13 @@ mod tests {
         let file = snapshot("/f", 1, &[1, 2, 3]);
         // two of three blocks get 4 reads each (> M_m=3, ≤ M_M=6);
         // 2/3 > ε=0.3 → hot via (3)
-        let mut lines = Vec::new();
+        let mut records = Vec::new();
         for blk in [1u64, 2] {
             for i in 0..4 {
-                lines.push(block_line(1 + i, blk, 0, "/f"));
+                records.push(block_rec(1 + i, blk, 0, "/f"));
             }
         }
-        j.observe_lines(lines.iter().map(String::as_str));
+        j.observe(&records);
         let v = j.classify(SimTime::from_secs(20), &file);
         assert_eq!(v.class, DataClass::Hot);
         assert_eq!(v.rule, JudgeRule::WarmFraction);
@@ -485,11 +541,7 @@ mod tests {
         let mut file = snapshot("/f", 6, &[1]);
         file.boosted = true;
         // 2 accesses / r=6 = 0.33 < τ_d=2 → cooled
-        j.observe_lines(
-            [open_line(1, "/f"), open_line(2, "/f")]
-                .iter()
-                .map(String::as_str),
-        );
+        j.observe(&[open_rec(1, "/f"), open_rec(2, "/f")]);
         let v = j.classify(SimTime::from_secs(10), &file);
         assert_eq!(v.class, DataClass::Cooled);
         assert_eq!(v.rule, JudgeRule::Cooled);
@@ -523,8 +575,8 @@ mod tests {
     fn window_decay_returns_file_to_normal() {
         let mut j = judge();
         let file = snapshot("/f", 1, &[1]);
-        let lines: Vec<String> = (0..10).map(|i| open_line(i, "/f")).collect();
-        j.observe_lines(lines.iter().map(String::as_str));
+        let records: Vec<AuditRecord> = (0..10).map(|i| open_rec(i, "/f")).collect();
+        j.observe(&records);
         assert_eq!(
             j.classify(SimTime::from_secs(10), &file).class,
             DataClass::Hot
@@ -541,17 +593,17 @@ mod tests {
         let mut j = judge();
         // τ_DN = 8; dn0 serves 6 reads of /a and 4 of /b → overloaded,
         // top contributor /a
-        let mut lines = Vec::new();
+        let mut records = Vec::new();
         for i in 0..6 {
-            lines.push(block_line(1 + i, 100 + i, 0, "/a"));
+            records.push(block_rec(1 + i, 100 + i, 0, "/a"));
         }
         for i in 0..4 {
-            lines.push(block_line(10 + i, 200 + i, 0, "/b"));
+            records.push(block_rec(10 + i, 200 + i, 0, "/b"));
         }
         // dn1 only serves 2 reads → not overloaded
-        lines.push(block_line(20, 300, 1, "/c"));
-        lines.push(block_line(21, 301, 1, "/c"));
-        j.observe_lines(lines.iter().map(String::as_str));
+        records.push(block_rec(20, 300, 1, "/c"));
+        records.push(block_rec(21, 301, 1, "/c"));
+        j.observe(&records);
         let over = j.overloaded_nodes(SimTime::from_secs(30));
         assert_eq!(over.len(), 1);
         assert_eq!(over[0].0, "dn0");
@@ -562,64 +614,116 @@ mod tests {
     #[test]
     fn fresh_data_pattern_fires_on_create_then_open() {
         let mut j = judge();
-        let create = format_audit_line(
-            SimTime::from_secs(1),
-            "u",
-            "/10.0.0.1",
-            "create",
-            "/fresh",
-            None,
-        );
-        let lines = [create, open_line(5, "/fresh"), open_line(6, "/other")];
-        j.observe_lines(lines.iter().map(String::as_str));
+        j.observe(&[
+            nn_rec(1, AuditCmd::Create, "/fresh"),
+            open_rec(5, "/fresh"),
+            open_rec(6, "/other"),
+        ]);
         assert_eq!(j.freshly_popular(), vec!["/fresh".to_string()]);
         assert!(j.freshly_popular().is_empty(), "matches drain once");
-    }
-
-    #[test]
-    fn parse_errors_are_counted_not_fatal() {
-        let mut j = judge();
-        j.observe_lines(["garbage", &open_line(1, "/f")]);
-        assert_eq!(j.parse_errors(), 1);
-        assert!(j.events_seen() >= 1);
     }
 
     #[test]
     fn checkpoint_round_trip_preserves_windows_and_pattern() {
         use checkpoint::Checkpointable;
         let mut j = judge();
-        let create = format_audit_line(
-            SimTime::from_secs(1),
-            "u",
-            "/10.0.0.1",
-            "create",
-            "/fresh",
-            None,
-        );
-        let mut lines = vec!["garbage".to_string(), create];
+        let mut records = vec![nn_rec(1, AuditCmd::Create, "/fresh")];
         for i in 0..9 {
-            lines.push(open_line(2 + i, "/hot"));
-            lines.push(block_line(2 + i, 7, 0, "/hot"));
+            records.push(open_rec(2 + i, "/hot"));
+            records.push(block_rec(2 + i, 7, 0, "/hot"));
         }
-        j.observe_lines(lines.iter().map(String::as_str));
+        j.observe(&records);
 
         let json = serde_json::to_string(&j.save_state()).unwrap();
         let back = serde_json::parse_value(&json).unwrap();
         let mut fresh = judge();
         fresh.load_state(&back).unwrap();
 
-        // identical classification and parse accounting after restore
+        // identical classification and event accounting after restore
         let file = snapshot("/hot", 1, &[7]);
         let now = SimTime::from_secs(20);
         let a = j.classify(now, &file);
         let b = fresh.classify(now, &file);
         assert_eq!((a.class, a.rule), (b.class, b.rule));
         assert_eq!(a.n_d.to_bits(), b.n_d.to_bits());
-        assert_eq!(fresh.parse_errors(), 1);
         assert_eq!(fresh.events_seen(), j.events_seen());
         // the pending create → open correlation survived: an open on the
         // restored judge completes the pattern armed before the snapshot
-        fresh.observe_lines([open_line(5, "/fresh").as_str()]);
+        fresh.observe(&[open_rec(5, "/fresh")]);
         assert_eq!(fresh.freshly_popular(), vec!["/fresh".to_string()]);
+    }
+
+    fn arb_record() -> impl Strategy<Value = AuditRecord> {
+        // times below 30 days, where every microsecond survives the
+        // `{:.6}` seconds of the log text
+        let time = (0u64..30 * 86_400_000_000).prop_map(SimTime::from_micros);
+        let reader = prop_oneof![
+            (0u32..64).prop_map(|n| Endpoint::Node(NodeId(n))),
+            any::<u32>().prop_map(|c| Endpoint::Client(ClientId(c))),
+        ];
+        let cmd = prop::sample::select(vec![
+            AuditCmd::Create,
+            AuditCmd::Open,
+            AuditCmd::Delete,
+            AuditCmd::SetReplication,
+        ]);
+        let op = prop_oneof![
+            (cmd, reader).prop_map(|(cmd, reader)| AuditOp::Namenode { cmd, reader }),
+            (any::<u64>(), any::<u32>(), any::<u64>()).prop_map(|(b, n, bytes)| {
+                AuditOp::BlockRead {
+                    block: BlockId(b),
+                    node: NodeId(n),
+                    bytes,
+                }
+            }),
+        ];
+        (time, "/[a-z0-9_./-]{0,12}", op).prop_map(|(time, path, op)| AuditRecord {
+            time,
+            path,
+            op,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn observe_builds_the_event_the_rendered_line_parses_to(rec in arb_record()) {
+            let parsed = cep::audit::parse_line(&rec.to_string()).expect("rendered line parses");
+            prop_assert_eq!(parsed.time, rec.time);
+            let mut projected = Event::new(parsed.time, parsed.event_type.as_ref());
+            for (k, v) in parsed.fields() {
+                if ["blk", "cmd", "dn", "src"].contains(&k) {
+                    projected.set(k, v.clone());
+                }
+            }
+            let (derived, event) = judge().events_for(&rec);
+            prop_assert_eq!(event, projected);
+            if let AuditOp::BlockRead { node, .. } = rec.op {
+                let derived = derived.expect("block reads derive a (datanode, file) event");
+                let key = format!("{node}|{}", rec.path);
+                prop_assert_eq!(derived.get("dn_src").and_then(Value::as_str), Some(key.as_str()));
+                prop_assert_eq!(derived.time, rec.time);
+            } else {
+                prop_assert!(derived.is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_names_share_one_arc() {
+        let mut j = judge();
+        let (d1, a) = j.events_for(&block_rec(1, 7, 2, "/f"));
+        let (d2, b) = j.events_for(&block_rec(2, 7, 2, "/f"));
+        let (_, c) = j.events_for(&open_rec(3, "/f"));
+        let arc = |e: &Event, k: &str| match e.get(k) {
+            Some(Value::Str(s)) => s.clone(),
+            other => panic!("{k}: {other:?}"),
+        };
+        for k in ["blk", "cmd", "dn", "src"] {
+            assert!(Arc::ptr_eq(&arc(&a, k), &arc(&b, k)), "{k}");
+        }
+        assert!(Arc::ptr_eq(&arc(&a, "src"), &arc(&c, "src")));
+        let (d1, d2) = (d1.unwrap(), d2.unwrap());
+        assert!(Arc::ptr_eq(&arc(&d1, "dn_src"), &arc(&d2, "dn_src")));
     }
 }

@@ -298,13 +298,13 @@ impl ErmsManager {
         prof_scope!("tick");
 
         // 1. audit logs → CEP
-        let lines = {
+        let records = {
             prof_scope!("audit");
             cluster.drain_audit()
         };
         {
             prof_scope!("cep_drain");
-            self.judge.observe_lines(lines.iter().map(String::as_str));
+            self.judge.observe(&records);
         }
 
         // 1b. deleted files: drop every piece of per-path bookkeeping so

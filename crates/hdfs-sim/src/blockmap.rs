@@ -313,7 +313,22 @@ impl checkpoint::Checkpointable for BlockMap {
     }
 
     fn load_state(&mut self, state: &checkpoint::Value) -> Result<(), checkpoint::CheckpointError> {
+        self.load_bounded(state, u64::MAX)
+    }
+}
+
+impl BlockMap {
+    /// Restore from a snapshot section whose block ids must all be below
+    /// `id_bound` (the namespace's next block id). Ids are checked and
+    /// the columns reserved (fallibly) before any of them grows, so a
+    /// corrupt id is a typed error, never an abort or a wrapped index.
+    pub(crate) fn load_bounded(
+        &mut self,
+        state: &checkpoint::Value,
+        id_bound: u64,
+    ) -> Result<(), checkpoint::CheckpointError> {
         use checkpoint::codec as c;
+        use checkpoint::CheckpointError;
         self.locations.clear();
         self.targets.clear();
         self.under.clear();
@@ -324,6 +339,26 @@ impl checkpoint::Checkpointable for BlockMap {
         let blocks = c::get_seq(state, "blocks")?;
         let row_ends = c::get_seq(state, "row_ends")?;
         let nodes = c::get_seq(state, "nodes")?;
+        let target_blocks = c::get_seq(state, "target_blocks")?;
+        let target_values = c::get_seq(state, "target_values")?;
+        let mut len = 0u64;
+        for (v, field) in blocks
+            .iter()
+            .map(|v| (v, "blocks[]"))
+            .chain(target_blocks.iter().map(|v| (v, "target_blocks[]")))
+        {
+            let id = c::as_u64(v, field)?;
+            if id >= id_bound {
+                return Err(CheckpointError::Corrupt(format!(
+                    "{field} id {id} is not below the next block id {id_bound}"
+                )));
+            }
+            len = len.max(id + 1);
+        }
+        let too_big = || CheckpointError::Corrupt(format!("{len} block columns overflow memory"));
+        let rows = usize::try_from(len).map_err(|_| too_big())?;
+        self.locations.try_reserve(rows).map_err(|_| too_big())?;
+        self.targets.try_reserve(rows).map_err(|_| too_big())?;
         if blocks.len() != row_ends.len() {
             return Err(checkpoint::CheckpointError::Corrupt(
                 "blocks and row_ends columns differ in length".into(),
@@ -344,8 +379,6 @@ impl checkpoint::Checkpointable for BlockMap {
             }
             start = end;
         }
-        let target_blocks = c::get_seq(state, "target_blocks")?;
-        let target_values = c::get_seq(state, "target_values")?;
         if target_blocks.len() != target_values.len() {
             return Err(checkpoint::CheckpointError::Corrupt(
                 "target columns differ in length".into(),

@@ -5,14 +5,14 @@
 //! (datanode sessions cap out and queue, flows share bandwidth
 //! max-min-fairly), replication changes move real simulated bytes, nodes
 //! boot, drain, and die. Every namespace operation and block transfer is
-//! written to the audit sink in HDFS's own log format — the feed ERMS's
-//! CEP pipeline consumes.
+//! recorded in the audit sink as a typed record (renderable in HDFS's own
+//! log format) — the feed ERMS's CEP pipeline consumes.
 //!
 //! The simulator is **driven**: callers submit work, then pump the event
 //! loop with [`ClusterSim::run_until`] / [`ClusterSim::run_until_quiescent`]
 //! and collect completions with [`ClusterSim::drain_completed_reads`].
 
-use crate::audit::AuditSink;
+use crate::audit::{AuditCmd, AuditRecord, AuditSink};
 use crate::block::{BlockId, FileId};
 use crate::blockmap::BlockMap;
 use crate::config::ClusterConfig;
@@ -419,11 +419,8 @@ impl ClusterSim {
     pub fn blockmap(&self) -> &BlockMap {
         &self.blockmap
     }
-    pub fn audit_mut(&mut self) -> &mut AuditSink {
-        &mut self.audit
-    }
-    /// Take all audit-log lines emitted since the last drain.
-    pub fn drain_audit(&mut self) -> Vec<String> {
+    /// Take all audit records emitted since the last drain.
+    pub fn drain_audit(&mut self) -> Vec<AuditRecord> {
         self.audit.drain()
     }
 
@@ -589,7 +586,7 @@ impl ClusterSim {
         let ep = writer
             .map(Endpoint::Node)
             .unwrap_or(Endpoint::Client(ClientId(0)));
-        self.audit.file_op(now, ep, "create", path);
+        self.audit.file_op(now, ep, AuditCmd::Create, path);
         Some(id)
     }
 
@@ -621,7 +618,7 @@ impl ClusterSim {
         }
         let id = WriteId(self.next_write);
         self.next_write += 1;
-        self.audit.file_op(now, writer, "create", path);
+        self.audit.file_op(now, writer, AuditCmd::Create, path);
         trace!(
             self.telemetry,
             now,
@@ -800,7 +797,7 @@ impl ClusterSim {
             self.corrupt_pending_repair.remove(&b);
         }
         self.audit
-            .file_op(now, Endpoint::Client(ClientId(0)), "delete", path);
+            .file_op(now, Endpoint::Client(ClientId(0)), AuditCmd::Delete, path);
         self.dirty_files.remove(&id);
         self.deleted_paths.push(path.to_string());
         true
@@ -842,7 +839,7 @@ impl ClusterSim {
             failed: false,
         };
         let now = self.now();
-        self.audit.file_op(now, reader, "open", path);
+        self.audit.file_op(now, reader, AuditCmd::Open, path);
         trace!(
             self.telemetry,
             now,
@@ -888,7 +885,7 @@ impl ClusterSim {
             failed: false,
         };
         let now = self.now();
-        self.audit.file_op(now, reader, "open", path);
+        self.audit.file_op(now, reader, AuditCmd::Open, path);
         trace!(
             self.telemetry,
             now,
@@ -1294,8 +1291,12 @@ impl ClusterSim {
             }
         }
         let now = self.now();
-        self.audit
-            .file_op(now, Endpoint::Client(ClientId(0)), "setReplication", &path);
+        self.audit.file_op(
+            now,
+            Endpoint::Client(ClientId(0)),
+            AuditCmd::SetReplication,
+            &path,
+        );
         copies
     }
 
@@ -2520,13 +2521,13 @@ fn i_is_parity(ns: &Namespace, b: BlockId) -> bool {
 // would cancel and reschedule flow completions under fresh event ids,
 // breaking bit-identical resume.
 
-mod ck {
+pub(crate) mod ck {
     //! Value codecs for the cluster's private types.
     use super::*;
     use checkpoint::codec::{self as c, MapBuilder};
     use checkpoint::{CheckpointError, Value};
 
-    pub(super) fn endpoint(e: Endpoint) -> Value {
+    pub(crate) fn endpoint(e: Endpoint) -> Value {
         match e {
             Endpoint::Node(n) => MapBuilder::new()
                 .str("k", "node")
@@ -2539,7 +2540,7 @@ mod ck {
         }
     }
 
-    pub(super) fn endpoint_back(v: &Value) -> Result<Endpoint, CheckpointError> {
+    pub(crate) fn endpoint_back(v: &Value) -> Result<Endpoint, CheckpointError> {
         match c::get_str(v, "k")? {
             "node" => Ok(Endpoint::Node(NodeId(c::get_u32(v, "id")?))),
             "client" => Ok(Endpoint::Client(ClientId(c::get_u32(v, "id")?))),
@@ -3099,7 +3100,8 @@ impl checkpoint::Checkpointable for ClusterSim {
         use checkpoint::codec as c;
         use checkpoint::CheckpointError;
         self.namespace.load_state(c::get(state, "namespace")?)?;
-        self.blockmap.load_state(c::get(state, "blockmap")?)?;
+        self.blockmap
+            .load_bounded(c::get(state, "blockmap")?, self.namespace.next_block_id())?;
         self.net.load_state(c::get(state, "net")?)?;
         self.audit.load_state(c::get(state, "audit")?)?;
         let node_states = c::get_seq(state, "nodes")?;
@@ -3634,8 +3636,9 @@ mod tests {
         c.create_file("/f", 128 * MB, 3, None).unwrap();
         c.open_read(Endpoint::Client(ClientId(1)), "/f").unwrap();
         c.run_until_quiescent();
-        let lines = c.drain_audit();
-        let text = lines.join("\n");
+        let records = c.drain_audit();
+        let text: Vec<String> = records.iter().map(ToString::to_string).collect();
+        let text = text.join("\n");
         assert!(text.contains("cmd=create"));
         assert!(text.contains("cmd=open"));
         assert_eq!(
@@ -3645,7 +3648,7 @@ mod tests {
         );
         let (events, bad) = cep::audit::parse_log(&text);
         assert_eq!(bad, 0);
-        assert_eq!(events.len(), lines.len());
+        assert_eq!(events.len(), records.len());
     }
 
     #[test]

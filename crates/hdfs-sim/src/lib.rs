@@ -20,8 +20,9 @@
 //!   whenever the flow set changes;
 //! * [`placement`] — the pluggable replica-placement interface plus
 //!   HDFS's default rack-aware policy (ERMS plugs Algorithm 1 in here);
-//! * [`audit`] — namenode audit log + datanode client-trace emission, the
-//!   textual interface ERMS's CEP pipeline consumes;
+//! * [`audit`] — namenode audit and datanode client-trace records, the
+//!   interface ERMS's CEP pipeline consumes (each renders as an HDFS log
+//!   line);
 //! * [`cluster`] — the [`cluster::ClusterSim`] facade gluing it together:
 //!   reads, writes, replication changes, node commission/decommission,
 //!   failures and metrics.
@@ -41,8 +42,11 @@
 //! let read = &cluster.drain_completed_reads()[0];
 //! assert!(!read.failed);
 //! assert!(read.throughput_mb_s() > 0.0);
-//! // and the audit log recorded it in HDFS's own format
-//! assert!(cluster.drain_audit().iter().any(|l| l.contains("cmd=open")));
+//! // the audit log recorded it; a record renders as HDFS's own log line,
+//! // which the paper's log parser reads back
+//! let open = &cluster.drain_audit()[1];
+//! let event = cep::audit::parse_line(&open.to_string()).unwrap();
+//! assert_eq!(event.get("cmd").and_then(|v| v.as_str()), Some("open"));
 //! ```
 
 pub mod audit;

@@ -18,6 +18,31 @@ fn column_put<T>(column: &mut Vec<Option<T>>, i: usize, v: T) {
     column[i] = Some(v);
 }
 
+/// [`column_put`] for snapshot loads: `id` must be below the snapshot's
+/// own id counter `next_id`, and the column grows through `try_reserve`,
+/// so a corrupt id is a typed error rather than an abort or a wrapped
+/// index.
+fn load_put<T>(
+    column: &mut Vec<Option<T>>,
+    id: u64,
+    next_id: u64,
+    v: T,
+) -> Result<(), checkpoint::CheckpointError> {
+    use checkpoint::CheckpointError::Corrupt;
+    if id >= next_id {
+        return Err(Corrupt(format!("id {id} is not below next id {next_id}")));
+    }
+    // id < next_id, so id + 1 cannot wrap
+    let len = usize::try_from(id + 1).map_err(|_| Corrupt(format!("id {id} overflows memory")))?;
+    if len > column.len() {
+        column
+            .try_reserve(len - column.len())
+            .map_err(|_| Corrupt(format!("id {id} overflows memory")))?;
+    }
+    column_put(column, len - 1, v);
+    Ok(())
+}
+
 /// How a file's redundancy is currently provided.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageMode {
@@ -178,6 +203,11 @@ impl Namespace {
     pub fn files(&self) -> impl Iterator<Item = &FileMeta> {
         self.files.iter().filter_map(Option::as_ref)
     }
+    /// The next block id the namespace will mint: every block id in use
+    /// is below it.
+    pub(crate) fn next_block_id(&self) -> u64 {
+        self.next_block
+    }
     pub fn num_files(&self) -> usize {
         self.by_path.len()
     }
@@ -257,6 +287,8 @@ impl checkpoint::Checkpointable for Namespace {
         self.by_path.clear();
         self.blocks.clear();
         self.live_blocks = 0;
+        self.next_file = c::get_u64(state, "next_file")?;
+        self.next_block = c::get_u64(state, "next_block")?;
         for fv in c::get_seq(state, "files")? {
             let id = FileId(c::get_u64(fv, "id")?);
             let path = c::get_str(fv, "path")?.to_string();
@@ -276,9 +308,10 @@ impl checkpoint::Checkpointable for Namespace {
                 },
             };
             self.by_path.insert(path.clone(), id);
-            column_put(
+            load_put(
                 &mut self.files,
-                id.0 as usize,
+                id.0,
+                self.next_file,
                 FileMeta {
                     id,
                     path,
@@ -288,13 +321,14 @@ impl checkpoint::Checkpointable for Namespace {
                     created_at: c::get_time(fv, "created_at")?,
                     last_access: c::get_time(fv, "last_access")?,
                 },
-            );
+            )?;
         }
         for bv in c::get_seq(state, "blocks")? {
             let id = BlockId(c::get_u64(bv, "id")?);
-            column_put(
+            load_put(
                 &mut self.blocks,
-                id.0 as usize,
+                id.0,
+                self.next_block,
                 BlockInfo {
                     id,
                     file: FileId(c::get_u64(bv, "file")?),
@@ -302,11 +336,9 @@ impl checkpoint::Checkpointable for Namespace {
                     len: c::get_u64(bv, "len")?,
                     is_parity: c::get_bool(bv, "is_parity")?,
                 },
-            );
+            )?;
             self.live_blocks += 1;
         }
-        self.next_file = c::get_u64(state, "next_file")?;
-        self.next_block = c::get_u64(state, "next_block")?;
         Ok(())
     }
 }

@@ -1249,4 +1249,57 @@ mod tests {
         assert_eq!(lat.max, 100.0);
         assert_eq!(lat.mean, 50.5);
     }
+
+    /// A short valid trace: one line per event shape the parser
+    /// distinguishes (strings with escapes, integers, floats, options,
+    /// bools).
+    fn sample_jsonl() -> String {
+        let sink = TelemetrySink::recording();
+        let events = [
+            Event::ReadStarted {
+                read: 1,
+                path: "/a \"q\"\n".into(),
+            },
+            Event::FaultApplied {
+                kind: "crash".into(),
+                node: Some(4),
+                rack: None,
+            },
+            Event::Verdict {
+                path: "/v".into(),
+                verdict: "hot".into(),
+                file_sessions: 10.5,
+                max_block_sessions: 3.0,
+                replicas: 3,
+            },
+            Event::TaskFinished { job: 5, ok: true },
+        ];
+        for (i, ev) in events.into_iter().enumerate() {
+            sink.emit(t(i as u64), ev);
+        }
+        sink.drain_jsonl()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+        #[test]
+        fn hostile_jsonl_never_panics(
+            edits in proptest::collection::vec(
+                (0u8..3, proptest::prelude::any::<u64>(), proptest::prelude::any::<u8>()),
+                1..8,
+            ),
+        ) {
+            let mut bytes = sample_jsonl().into_bytes();
+            for (kind, at, byte) in edits {
+                let at = (at % (bytes.len() as u64 + 1)) as usize;
+                match kind {
+                    0 => bytes.truncate(at),
+                    1 if at < bytes.len() => bytes[at] ^= byte | 1,
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            // Ok or a typed error; a panic fails the test
+            let _ = parse_jsonl(&String::from_utf8_lossy(&bytes));
+        }
+    }
 }

@@ -224,6 +224,49 @@ fn crash_restart_trace_stays_oracle_clean() {
     assert_oracle_clean(&format!("{prefix}{suffix}"));
 }
 
+/// The value at `path` (map keys, or sequence indexes in decimal) in a
+/// snapshot's JSON tree.
+fn at<'a>(mut v: &'a mut serde::Value, path: &[&str]) -> &'a mut serde::Value {
+    for key in path {
+        v = match v {
+            serde::Value::Map(entries) => {
+                &mut entries
+                    .iter_mut()
+                    .find(|(k, _)| k == key)
+                    .unwrap_or_else(|| panic!("no key {key}"))
+                    .1
+            }
+            serde::Value::Seq(items) => &mut items[key.parse::<usize>().expect("index")],
+            other => panic!("cannot descend into {other:?}"),
+        };
+    }
+    v
+}
+
+#[test]
+fn restore_rejects_out_of_range_ids_with_a_typed_error() {
+    // Huge file or block ids used to abort on a column allocation or
+    // panic on a wrapped index; they must be a typed `Corrupt` error.
+    let mut run = ResumableRun::new(Scenario::churn_tiny(), 42);
+    run.run_to_tick(30);
+    let wire = run.save().to_json();
+    let file_id = ["sections", "cluster", "namespace", "files", "0", "id"];
+    let block_id = ["sections", "cluster", "blockmap", "blocks", "0"];
+    for huge in [u64::from(u32::MAX), u64::MAX] {
+        for path in [&file_id[..], &block_id[..]] {
+            let mut doc = serde_json::parse_value(&wire).expect("snapshot JSON parses");
+            *at(&mut doc, path) = serde::Value::U64(huge);
+            let json = serde_json::to_string(&doc).expect("snapshot JSON renders");
+            let snap = Snapshot::from_json(&json).expect("still a snapshot envelope");
+            let err = ResumableRun::resume(&snap).err();
+            assert!(
+                matches!(err, Some(checkpoint::CheckpointError::Corrupt(_))),
+                "{path:?} = {huge}: {err:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

@@ -47,25 +47,25 @@ fn settle(cluster: &mut ClusterSim, manager: &mut ErmsManager, rounds: usize) {
 }
 
 #[test]
-fn audit_text_is_the_only_channel_between_cluster_and_judge() {
-    // The judge must learn about demand exclusively through parsed audit
-    // lines: feed it a manually formatted log and check classification.
+fn audit_records_are_the_only_channel_between_cluster_and_judge() {
+    // The judge must learn about demand exclusively through the cluster's
+    // audit records: intercept them, check their rendered log lines parse,
+    // and hand them to the judge manually.
     let (mut cluster, mut manager) = erms_cluster(Vec::new());
     cluster.create_file("/hot", 64 * MB, 3, None).unwrap();
     hammer(&mut cluster, "/hot", 40, 0);
 
     // intercept the audit stream before the manager sees it
-    let lines = cluster.drain_audit();
+    let records = cluster.drain_audit();
+    let lines: Vec<String> = records.iter().map(ToString::to_string).collect();
     assert!(lines.iter().any(|l| l.contains("cmd=open")));
     assert!(lines.iter().any(|l| l.contains("cmd=read_block")));
     let (events, bad) = cep::audit::parse_log(&lines.join("\n"));
-    assert_eq!(bad, 0, "simulator emits parseable HDFS log lines");
+    assert_eq!(bad, 0, "records render as parseable HDFS log lines");
     assert!(events.len() >= 80, "one open + one clienttrace per read");
 
-    // hand the same lines to the judge manually
-    manager
-        .judge()
-        .observe_lines(lines.iter().map(String::as_str));
+    // hand the same records to the judge manually
+    manager.judge().observe(&records);
     let now = cluster.now();
     let snap = erms::FileSnapshot {
         id: hdfs_sim::FileId(0),
